@@ -116,13 +116,6 @@ def main():
         print("run.py: workload exceeded %d s" % RUN_TIMEOUT_S, file=sys.stderr)
     finally:
         clean = stop_group(proc)
-        if args.trace:
-            traces = os.path.join(BUILD, "traces")
-            os.makedirs(traces, exist_ok=True)
-            src = os.path.join(work, "trace-%s.json" % args.workload)
-            if os.path.exists(src):
-                shutil.move(src, os.path.join(
-                    traces, "%s-seed%d.json" % (args.workload, args.seed)))
         shutil.rmtree(work, ignore_errors=True)
     if not clean:
         sys.exit("run.py: a process of the workload outlived it")

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <mutex>
 #include <new>
 #include <sstream>
@@ -87,25 +86,9 @@ double quantile(std::vector<double> v, double q) {
 // ---------------------------------------------------------------- spans
 
 namespace {
-struct SpanRecord {
-  const char* name;
-  double t0_us;
-  double t1_us;
-  int parent;
-  int tid;
-};
-
 std::atomic<bool> g_trace_on{false};
 std::mutex g_spans_mu;
-std::vector<SpanRecord> g_spans;  // guarded by g_spans_mu
-thread_local int t_open_span = -1;
-std::atomic<int> g_next_tid{0};
-thread_local int t_tid = g_next_tid.fetch_add(1);
-
-double us_since_origin(Clock::time_point t) {
-  static const Clock::time_point origin = Clock::now();
-  return std::chrono::duration<double, std::micro>(t - origin).count();
-}
+std::map<std::string, std::vector<double>> g_spans_ms;  // guarded by g_spans_mu
 }  // namespace
 
 void Trace::set_enabled(bool on) { g_trace_on.store(on); }
@@ -113,48 +96,20 @@ bool Trace::enabled() { return g_trace_on.load(std::memory_order_relaxed); }
 
 std::vector<double> Trace::durations_ms(const std::string& name) {
   std::lock_guard<std::mutex> lk(g_spans_mu);
-  std::vector<double> out;
-  for (const SpanRecord& s : g_spans) {
-    if (s.t1_us >= 0 && name == s.name) out.push_back((s.t1_us - s.t0_us) / 1e3);
-  }
-  return out;
+  auto it = g_spans_ms.find(name);
+  return it == g_spans_ms.end() ? std::vector<double>{} : it->second;
 }
 
-void Trace::write_chrome(const std::string& path) {
-  std::lock_guard<std::mutex> lk(g_spans_mu);
-  std::ofstream os(path);
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (std::size_t i = 0; i < g_spans.size(); ++i) {
-    const SpanRecord& s = g_spans[i];
-    if (s.t1_us < 0) continue;
-    os << (first ? "" : ",") << "{\"name\":\"" << s.name
-       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid << ",\"ts\":" << s.t0_us
-       << ",\"dur\":" << (s.t1_us - s.t0_us) << ",\"args\":{\"id\":" << i
-       << ",\"parent\":" << s.parent << "}}";
-    first = false;
-  }
-  os << "]}\n";
-}
-
-Span::Span(const char* name) : name_(name), t0_(Clock::now()) {
-  if (!Trace::enabled()) return;
-  std::lock_guard<std::mutex> lk(g_spans_mu);
-  parent_ = t_open_span;
-  g_spans.push_back({name_, us_since_origin(t0_), -1.0, parent_, t_tid});
-  idx_ = static_cast<int>(g_spans.size()) - 1;
-  t_open_span = idx_;
-}
+Span::Span(const char* name) : name_(name), t0_(Clock::now()) {}
 
 double Span::end() {
-  const Clock::time_point t1 = Clock::now();
-  if (open_ && idx_ >= 0) {
+  const double ms = ms_since(t0_);
+  if (open_ && Trace::enabled()) {
     std::lock_guard<std::mutex> lk(g_spans_mu);
-    g_spans[static_cast<std::size_t>(idx_)].t1_us = us_since_origin(t1);
-    t_open_span = parent_;  // spans nest by scope on their thread
+    g_spans_ms[name_].push_back(ms);
   }
   open_ = false;
-  return ms_between(t0_, t1);
+  return ms;
 }
 
 Span::~Span() {

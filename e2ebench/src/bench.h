@@ -59,16 +59,15 @@ constexpr double kFastRateQuantile = 0.9;
 /// Allocation counter: every global operator new in this binary bumps it.
 std::uint64_t allocations();
 
-/// The benchmark's own span recorder. Spans are kept in memory only while
-/// tracing is on and are written out (Chrome trace JSON) when the run ends;
-/// per-layer metrics are medians over spans of one name.
+/// The benchmark's own span recorder. While tracing is on, each finished
+/// span adds its duration to the record of its name; per-layer metrics are
+/// medians over the spans of one name.
 class Trace {
  public:
   static void set_enabled(bool on);
   static bool enabled();
   /// Durations (ms) of every finished span with this name.
   static std::vector<double> durations_ms(const std::string& name);
-  static void write_chrome(const std::string& path);
 };
 
 class Span {
@@ -84,8 +83,6 @@ class Span {
  private:
   const char* name_;
   Clock::time_point t0_;
-  int idx_ = -1;  // index in the span buffer; -1 when not recorded
-  int parent_ = -1;
   bool open_ = true;
 };
 

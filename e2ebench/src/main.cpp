@@ -71,9 +71,6 @@ int main(int argc, char** argv) {
     } else {
       throw std::runtime_error("unknown workload '" + o.workload + "'");
     }
-    if (o.trace) {
-      bench::Trace::write_chrome(o.work_dir + "/trace-" + o.workload + ".json");
-    }
     for (const auto& [name, m] : r.metrics) {
       r.check(std::isfinite(m.value), "metric " + name + " is not a finite number");
     }

@@ -2,9 +2,14 @@
 // one engine, DG_THREADS=1, tracing off), driven by this process over the
 // JSON-lines protocol. The traffic is a fixed mix of requests in rounds of
 // 32: plain n=8 requests capped by lengths drawn from the GCUT data,
-// fixed-attribute and `where` requests, a bulk n=256 request every fourth
-// round (~0.5 MB reply), repeats the router cache answers, and one pair of
-// requests at seeds 2^53 and 2^53+1.
+// fixed-attribute and `where` requests, a bulk n=256 request every
+// kBulkEvery-th round (~0.5 MB reply), repeats the router cache answers, and
+// one pair of requests at seeds 2^53 and 2^53+1.
+//
+// The traced run starts a second router on the same workers with
+// --trace-sample 1 and sends every other closed-loop round through it, so
+// the program's own tracing (router spans, trace context on the wire, worker
+// spans) is on for those rounds and off for the rest.
 //
 // Throughput is measured closed-loop (two connections, each sends its next
 // request when the reply arrives); latency open-loop, at a fixed schedule,
@@ -181,12 +186,8 @@ class Fleet {
       endpoints += (endpoints.empty() ? "" : ",") + std::string("127.0.0.1:") +
                    std::to_string(p);
     }
-    const std::string pf = work_dir_ + "/router.port";
-    spawn(o.cli,
-          {"route", "--endpoints", endpoints, "--port", "0", "--port-file", pf,
-           "--trace-sample", "0"},
-          "router");
-    router_port = await_port(pf, pids_.back());
+    router_port = start_router(o.cli, endpoints, "router", "0");
+    if (o.trace) traced_router_port = start_router(o.cli, endpoints, "router-traced", "1");
   }
   ~Fleet() { shutdown(); }
   Fleet(const Fleet&) = delete;
@@ -237,8 +238,19 @@ class Fleet {
 
   std::vector<int> worker_ports;
   int router_port = 0;
+  int traced_router_port = 0;  // traced run only: samples every request
 
  private:
+  int start_router(const std::string& cli, const std::string& endpoints,
+                   const std::string& name, const std::string& trace_sample) {
+    const std::string pf = work_dir_ + "/" + name + ".port";
+    spawn(cli,
+          {"route", "--endpoints", endpoints, "--port", "0", "--port-file", pf,
+           "--trace-sample", trace_sample},
+          name);
+    return await_port(pf, pids_.back());
+  }
+
   void spawn(const std::string& exe, const std::vector<std::string>& args,
              const std::string& name) {
     // Everything the child needs is built before fork: between fork and
@@ -365,21 +377,26 @@ void run_serve(const Options& o, Result& r) {
 
   Fleet fleet(o, package);
   await_ready(fleet.router_port);
+  if (o.trace) await_ready(fleet.traced_router_port);
   const double setup_s = since_start_s();
 
   std::mutex sent_mu;
   std::vector<Sent> sent;  // guarded by sent_mu until the phases end
   std::atomic<std::uint64_t> next_round{0};
 
-  // ---- closed loop: each connection sends whole rounds back to back.
+  // ---- closed loop: each connection sends whole rounds back to back; in
+  // the traced run, odd rounds go through the tracing router.
   const double closed_ms = o.seconds * kClosedShare * 1e3;
   const Clock::time_point c0 = Clock::now();
   run_threads(std::min(kClosedConnections, cpu_count()), [&](int) {
     TcpClient client("127.0.0.1", fleet.router_port);
+    std::optional<TcpClient> traced_client;
+    if (o.trace) traced_client.emplace("127.0.0.1", fleet.traced_router_port);
     std::vector<Sent> mine;
     while (ms_since(c0) < closed_ms) {
       const std::uint64_t k = next_round.fetch_add(1);
       const bool traced = o.trace && k % 2 == 1;
+      TcpClient& via = traced ? *traced_client : client;
       const std::vector<Req> reqs = traffic.round(k);
       for (int pos = 0; pos < kRoundSize; ++pos) {
         throw_if_interrupted();
@@ -387,10 +404,8 @@ void run_serve(const Options& o, Result& r) {
         s.round = k;
         s.pos = pos;
         s.traced = traced;
-        std::optional<Span> span;
-        if (traced) span.emplace("serve.call");
         const Clock::time_point t = Clock::now();
-        s.reply = client.call(reqs[static_cast<std::size_t>(pos)].line);
+        s.reply = via.call(reqs[static_cast<std::size_t>(pos)].line);
         s.latency_ms = ms_since(t);
         s.done_s = ms_since(c0) / 1e3;
         mine.push_back(std::move(s));
@@ -456,6 +471,9 @@ void run_serve(const Options& o, Result& r) {
     }
     const std::string e = check_reply(parsed[i], d.schema, q.expect);
     r.check(e.empty(), where + e);
+    // The tracing router must really have sampled its rounds, or the
+    // overhead figure would compare two untraced halves.
+    r.check(!s.traced || parsed[i].find("trace") != nullptr, where + "traced reply has no trace id");
     if (i < closed_count) {
       if (const json::Value* objs = parsed[i].find("objects")) {
         const int w = static_cast<int>(s.done_s / window_s);

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run-to-run steadiness of the end-to-end benchmark.
 
-    python3 e2ebench/steadiness.py [--runs 10] [--workloads a,b,...]
-                                   [--seconds S] [--first-seed 1] [--trace 0|1]
+    python3 e2ebench/steadiness.py [--runs 10] [--seconds S]
 
-Runs every workload --runs times, each time with the next seed, alternating
+Runs every workload of BENCHMARK.json --runs times with seeds 1, 2, ...,
+untraced, for --seconds each (default: its run_seconds), alternating
 the workload order between rounds so slow drift of the host hits every
 workload alike. Prints, per workload and metric, the median, the first and
 third quartile (statistics.quantiles(values, n=4)), the spread (Q3-Q1)/median
@@ -29,25 +29,22 @@ def main():
         spec = json.load(f)
     ap = argparse.ArgumentParser()
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
-    workloads = args.workloads.split(",")
-    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"] + spec["per_layer"]}
+    workloads = [w["name"] for w in spec["workloads"]]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     values = {w: {} for w in workloads}
     shares = {w: set() for w in workloads}
     walls = {w: [] for w in workloads}
     for i in range(args.runs):
-        seed = args.first_seed + i
+        seed = 1 + i
         for w in (workloads if i % 2 == 0 else workloads[::-1]):
             t0 = time.time()
             p = subprocess.run(
                 [sys.executable, os.path.join(HERE, "run.py"), "--workload", w,
                  "--seed", str(seed), "--seconds", str(args.seconds),
-                 "--trace", str(args.trace)],
+                 "--trace", "0"],
                 cwd=ROOT, capture_output=True, text=True)
             walls[w].append(time.time() - t0)
             lines = p.stdout.strip().splitlines()
