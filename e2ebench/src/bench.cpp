@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <new>
 #include <sstream>
 
@@ -81,39 +80,6 @@ double quantile(std::vector<double> v, double q) {
   const std::size_t hi = std::min(lo + 1, v.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return v[lo] + (v[hi] - v[lo]) * frac;
-}
-
-// ---------------------------------------------------------------- spans
-
-namespace {
-std::atomic<bool> g_trace_on{false};
-std::mutex g_spans_mu;
-std::map<std::string, std::vector<double>> g_spans_ms;  // guarded by g_spans_mu
-}  // namespace
-
-void Trace::set_enabled(bool on) { g_trace_on.store(on); }
-bool Trace::enabled() { return g_trace_on.load(std::memory_order_relaxed); }
-
-std::vector<double> Trace::durations_ms(const std::string& name) {
-  std::lock_guard<std::mutex> lk(g_spans_mu);
-  auto it = g_spans_ms.find(name);
-  return it == g_spans_ms.end() ? std::vector<double>{} : it->second;
-}
-
-Span::Span(const char* name) : name_(name), t0_(Clock::now()) {}
-
-double Span::end() {
-  const double ms = ms_since(t0_);
-  if (open_ && Trace::enabled()) {
-    std::lock_guard<std::mutex> lk(g_spans_mu);
-    g_spans_ms[name_].push_back(ms);
-  }
-  open_ = false;
-  return ms;
-}
-
-Span::~Span() {
-  if (open_) end();
 }
 
 // ---------------------------------------------------------------- result

@@ -1,6 +1,6 @@
 // Shared plumbing of the end-to-end benchmark driver: run options, clocks,
-// order statistics, the benchmark's own span recorder, the allocation
-// counter, and the result line every workload prints.
+// order statistics, the stopwatch, the allocation counter, and the result
+// line every workload prints.
 //
 // Every timing here is taken from outside the library, around calls into
 // its public functions; nothing in src/ is instrumented for the benchmark.
@@ -47,43 +47,27 @@ inline std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
 double quantile(std::vector<double> v, double q);
 inline double median(std::vector<double> v) { return quantile(std::move(v), 0.5); }
 
-/// The end-to-end timings are reported at this quantile of the run's
-/// per-operation samples (the 10th percentile of times; the 90th of rates).
-/// On a shared host, slow phases of the machine last seconds and cover
-/// anything from none to nine tenths of a run, so a run's median measures
-/// the host; the fast tenth is the program's own speed in the host's
-/// undisturbed intervals and repeats from run to run.
-constexpr double kFastTimeQuantile = 0.1;
-constexpr double kFastRateQuantile = 0.9;
+/// The end-to-end timings are reported at the fastest of the run's
+/// per-operation samples (the least time; the highest rate). Every sample
+/// of one metric does the same fixed work, so the host can only add time to
+/// it. On a shared host, slow phases of the machine last seconds and cover
+/// anything from none to all of a run, so a run's median measures the host;
+/// the fastest sample is the program's own speed in the host's least
+/// disturbed interval and repeats best from run to run.
+constexpr double kFastTimeQuantile = 0.0;
+constexpr double kFastRateQuantile = 1.0;
 
 /// Allocation counter: every global operator new in this binary bumps it.
 std::uint64_t allocations();
 
-/// The benchmark's own span recorder. While tracing is on, each finished
-/// span adds its duration to the record of its name; per-layer metrics are
-/// medians over the spans of one name.
-class Trace {
+/// The benchmark's own clock around one call into a layer: starts at
+/// construction, ms() is the time since.
+class Stopwatch {
  public:
-  static void set_enabled(bool on);
-  static bool enabled();
-  /// Durations (ms) of every finished span with this name.
-  static std::vector<double> durations_ms(const std::string& name);
-};
-
-class Span {
- public:
-  explicit Span(const char* name);
-  ~Span();
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  /// Ends the span now and returns its duration in ms (also when tracing
-  /// is off, so callers can time with the same object).
-  double end();
+  double ms() const { return ms_since(t0_); }
 
  private:
-  const char* name_;
-  Clock::time_point t0_;
-  bool open_ = true;
+  Clock::time_point t0_ = Clock::now();
 };
 
 /// One metric of the result line.

@@ -8,11 +8,12 @@
 #include "bench.h"
 #include "checks.h"
 #include "core/package.h"
+#include "fleet.h"
 #include "models.h"
 #include "nn/rng.h"
 #include "obs/profile.h"
+#include "probes.h"
 #include "serve/sampler.h"
-#include "serve/tape_exec.h"
 #include "synth/synth.h"
 
 namespace bench {
@@ -43,19 +44,13 @@ std::vector<SeriesJob> round_jobs(std::uint64_t seed, std::uint64_t round) {
 }
 
 /// Runs `jobs` through `sampler` to completion; results indexed by job index.
-std::vector<SeriesResult> run_jobs(SlotSampler& sampler, std::vector<SeriesJob> jobs,
-                                   bool span_pumps = false) {
+std::vector<SeriesResult> run_jobs(SlotSampler& sampler, std::vector<SeriesJob> jobs) {
   const std::size_t n = jobs.size();
   for (SeriesJob& j : jobs) sampler.submit(std::move(j));
   std::vector<SeriesResult> out(n);
   std::size_t got = 0;
   while (!sampler.idle()) {
-    if (span_pumps) {
-      Span s("serve.pump");
-      sampler.pump();
-    } else {
-      sampler.pump();
-    }
+    sampler.pump();
     for (SeriesResult& res : sampler.drain()) {
       out.at(static_cast<std::size_t>(res.index)) = std::move(res);
       ++got;
@@ -75,33 +70,27 @@ dg::data::Dataset objects_of(const std::vector<SeriesResult>& results) {
 
 void run_generate(const Options& o, Result& r) {
   pin_threads(4);
-  Span synth_span("data.synth");
+  const Stopwatch synth;
   const dg::synth::SynthData d =
       dg::synth::make_wwt({.n = kTrainObjects, .t = 280, .seed = o.seed});
-  const double synth_ms = synth_span.end();
+  const double synth_ms = synth.ms();
 
   // The released package: briefly trained, flags biased to run full length.
   {
     DoppelGanger trained(d.schema, cli_default_config(d.schema, o.seed));
     trained.fit_more(d.data, kTrainIterations);
     bias_flags_to_continue(trained);
-    Span s("core.package_save");
     dg::core::save_package_file(o.work_dir + "/wwt.dgpkg", trained);
   }
-  std::shared_ptr<DoppelGanger> model;
-  {
-    Span s("core.package_load");
-    model = dg::core::load_package_file(o.work_dir + "/wwt.dgpkg");
-  }
+  const std::shared_ptr<DoppelGanger> model =
+      dg::core::load_package_file(o.work_dir + "/wwt.dgpkg");
   SlotSampler sampler(model, kWidth);  // builds and verifies the tape
   r.check(sampler.tape_active(), "no verified tape for the WWT package");
   const double setup_s = since_start_s();
 
   // Timed rounds: one generate() call, then one sampler batch. In a traced
-  // run, odd rounds run with the profiler on and a span per pump.
-  std::vector<double> gen_rate, sampler_rate, traced_round_ms, plain_round_ms,
-      allocs_per_series;
-  KernelTotals kernels;
+  // run, odd rounds run with the program's profiler on.
+  std::vector<double> gen_ms, sampler_rate, traced_round_ms, plain_round_ms;
   std::vector<SeriesResult> first_round;
   const Clock::time_point t0 = Clock::now();
   for (std::uint64_t round = 0; ms_since(t0) < o.seconds * 1e3; ++round) {
@@ -111,21 +100,13 @@ void run_generate(const Options& o, Result& r) {
     if (traced) dg::obs::Profiler::start();
     const Clock::time_point g0 = Clock::now();
     const dg::data::Dataset objects = model->generate(kGenerateObjects);
-    gen_rate.push_back(kGenerateObjects / (ms_since(g0) / 1e3));
-    if (traced) {
-      dg::obs::Profiler::stop();
-      kernels.add_snapshot();
-    }
+    if (!traced) gen_ms.push_back(ms_since(g0));
 
     std::vector<SeriesJob> jobs = round_jobs(o.seed, round);
-    const std::uint64_t a0 = allocations();
     const Clock::time_point s0 = Clock::now();
-    std::vector<SeriesResult> results = run_jobs(sampler, std::move(jobs), traced);
+    std::vector<SeriesResult> results = run_jobs(sampler, std::move(jobs));
     sampler_rate.push_back(kSamplerSeries / (ms_since(s0) / 1e3));
-    if (!traced) {
-      allocs_per_series.push_back(static_cast<double>(allocations() - a0) /
-                                  kSamplerSeries);
-    }
+    if (traced) dg::obs::Profiler::stop();
     (traced ? traced_round_ms : plain_round_ms).push_back(ms_since(round0));
     r.attempted += kGenerateObjects + kSamplerSeries;
 
@@ -162,75 +143,20 @@ void run_generate(const Options& o, Result& r) {
 
   if (!o.trace) {
     r.set("setup_s", setup_s, "s");
-    r.set("gen_objects_per_s", quantile(gen_rate, kFastRateQuantile), "objects/s");
-    r.set("sampler_series_per_s", quantile(sampler_rate, kFastRateQuantile), "series/s");
+    r.set("latency_ms", quantile(gen_ms, kFastTimeQuantile), "ms");
+    r.set("series_per_s", quantile(sampler_rate, kFastRateQuantile), "series/s");
     r.set("peak_rss_mb", self_peak_rss_mb(), "MB");
     return;
   }
-
-  // ---- per-layer probes
-  for (int i = 0; i < 4; ++i) {
-    {
-      Span s("core.package_save");
-      dg::core::save_package_file(o.work_dir + "/wwt-probe.dgpkg", *model);
-    }
-    Span s("core.package_load");
-    (void)dg::core::load_package_file(o.work_dir + "/wwt-probe.dgpkg");
-  }
-  for (int i = 0; i < 5; ++i) {
-    Span s("analysis.tape_build");
-    auto tape = dg::serve::TapeExecutor::create(*model, kWidth);
-    r.check(tape != nullptr, "tape build refused the package");
-  }
-  // generation_step at width 32 over whole series, and decode of the rows.
-  nn::Rng rng(mix(o.seed, 0xdec0de));
-  for (int rep = 0; rep < 4; ++rep) {
-    dg::core::GenContext ctx = model->sample_context(kWidth, rng);
-    dg::core::GenState st = model->initial_gen_state(kWidth);
-    const int rw = model->record_width();
-    nn::Matrix feats(kWidth, model->codec().feature_row_dim());
-    for (int step = 0; step < model->steps_per_series(); ++step) {
-      const nn::Matrix noise = rng.normal_matrix(kWidth, model->feat_noise_dim());
-      nn::Matrix recs;
-      {
-        Span s("core.generation_step");
-        recs = model->generation_step(ctx, noise, st);
-      }
-      const int take = std::min(model->sample_len(),
-                                model->codec().tmax() - step * model->sample_len());
-      for (int i = 0; i < kWidth; ++i) {
-        for (int j = 0; j < take * rw; ++j) {
-          feats.at(i, step * model->sample_len() * rw + j) = recs.at(i, j);
-        }
-      }
-    }
-    Span s("data.decode");
-    const dg::data::Dataset decoded = model->codec().decode(ctx.attributes, ctx.minmax, feats);
-    s.end();
-    const std::string e = check_objects(d.schema, decoded);
-    r.check(e.empty(), "decoded probe batch: " + e);
-  }
-  const dg::serve::SamplerStats& st = sampler.stats();
+  // The tail of the untraced generate() calls: reported without a bound,
+  // since on a shared host it follows the machine's slow phases.
+  r.set("tail_ms", quantile(gen_ms, 0.9), "ms");
   r.set("data.synth_ms", synth_ms, "ms");
-  r.set("data.decode_us_per_series",
-        median(Trace::durations_ms("data.decode")) * 1e3 / kWidth, "us");
-  r.set("core.package_save_ms", median(Trace::durations_ms("core.package_save")), "ms");
-  r.set("core.package_load_ms", median(Trace::durations_ms("core.package_load")), "ms");
-  r.set("core.generation_step_us",
-        median(Trace::durations_ms("core.generation_step")) * 1e3, "us");
-  r.set("analysis.tape_build_ms", median(Trace::durations_ms("analysis.tape_build")), "ms");
-  r.set("nn.allocs_per_series", median(allocs_per_series), "count");
-  r.set("nn.affine_gflops", kernels.gflops("affine"), "GFLOP/s");
-  r.set("nn.lstm_gates_gflops", kernels.gflops("lstm_gates"), "GFLOP/s");
-  r.set("serve.pump_us", median(Trace::durations_ms("serve.pump")) * 1e3, "us");
-  r.set("serve.occupancy",
-        static_cast<double>(st.slot_steps_active) / static_cast<double>(st.slot_steps_total),
-        "ratio");
-  r.set("serve.tape_step_share",
-        static_cast<double>(st.tape_steps) / static_cast<double>(st.rnn_steps), "ratio");
   r.set("obs.trace_overhead_pct",
         100.0 * (median(traced_round_ms) - median(plain_round_ms)) / median(plain_round_ms),
         "%");
+  layer_probes(o, *model, d.data, r);
+  fleet_probe(o, *model, series_lengths(d.data), r);
 }
 
 }  // namespace bench

@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
     }
     const bench::Options o = parse(argc, argv);
     std::filesystem::create_directories(o.work_dir);
-    bench::Trace::set_enabled(o.trace);
     bench::Result r;
     if (o.workload == "train-gcut") {
       bench::run_train(o, false, r);

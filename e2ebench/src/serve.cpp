@@ -15,43 +15,28 @@
 // request when the reply arrives); latency open-loop, at a fixed schedule,
 // timed from when each request was due.
 //
-// The benchmark starts the workers itself and hands their endpoints to the
-// router, so every file the fleet writes stays in the work directory (the
-// router's managed mode keeps its port files under /tmp). Every child is
-// started with a parent-death signal, stopped and reaped on every exit path,
-// and the run fails unless no child is left.
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/prctl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
+// The fleet (fleet.h) is started, stopped and reaped by this process on
+// every exit path, and the run fails unless no child is left.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cmath>
-#include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <thread>
 
 #include "bench.h"
 #include "checks.h"
 #include "core/package.h"
+#include "fleet.h"
 #include "models.h"
+#include "probes.h"
 #include "serve/json.h"
 #include "serve/server.h"
-#include "serve/shard/router.h"
-#include "serve/tape_exec.h"
 #include "synth/synth.h"
-
-extern char** environ;
 
 namespace bench {
 
@@ -62,7 +47,6 @@ namespace {
 
 constexpr int kTrainObjects = 400;
 constexpr int kTrainIterations = 2;
-constexpr int kWorkers = 2;
 constexpr int kRoundSize = 32;
 constexpr int kBulkEvery = 2;  // rounds per bulk request
 constexpr int kBulkN = 256;
@@ -71,14 +55,6 @@ constexpr int kOpenConnections = 4;
 constexpr double kOpenRate = 200.0;  // requests/s of the open-loop schedule
 constexpr double kClosedShare = 0.5;  // share of --seconds spent closed-loop
 constexpr std::uint64_t kPairSeed = 1ULL << 53;  // the pair is 2^53, 2^53+1
-constexpr double kStartTimeoutS = 60.0;
-
-std::atomic<bool> g_interrupted{false};
-void on_signal(int) { g_interrupted.store(true); }
-
-void throw_if_interrupted() {
-  if (g_interrupted.load()) throw std::runtime_error("interrupted by a signal");
-}
 
 // ---------------------------------------------------------------- traffic
 
@@ -163,172 +139,9 @@ struct Sent {
   int pos = 0;
   double done_s = 0.0;      // reply time, seconds since the phase started
   double latency_ms = 0.0;  // open loop: from when it was due
-  double late_ms = 0.0;     // open loop: send time minus due time
   bool traced = false;
   std::string reply;
 };
-
-// ---------------------------------------------------------------- fleet
-
-class Fleet {
- public:
-  Fleet(const Options& o, const std::string& package) : work_dir_(o.work_dir) {
-    for (int w = 0; w < kWorkers; ++w) {
-      const std::string pf = work_dir_ + "/worker" + std::to_string(w) + ".port";
-      spawn(o.cli,
-            {"serve", "--model", package, "--port", "0", "--port-file", pf,
-             "--slots", "32", "--engines", "1", "--poll", "0"},
-            "worker" + std::to_string(w));
-      worker_ports.push_back(await_port(pf, pids_.back()));
-    }
-    std::string endpoints;
-    for (int p : worker_ports) {
-      endpoints += (endpoints.empty() ? "" : ",") + std::string("127.0.0.1:") +
-                   std::to_string(p);
-    }
-    router_port = start_router(o.cli, endpoints, "router", "0");
-    if (o.trace) traced_router_port = start_router(o.cli, endpoints, "router-traced", "1");
-  }
-  ~Fleet() { shutdown(); }
-  Fleet(const Fleet&) = delete;
-  Fleet& operator=(const Fleet&) = delete;
-
-  /// Stops the router, then the workers: SIGTERM, up to 5 s to exit, then
-  /// SIGKILL. Returns true when every child was reaped and none is left.
-  bool shutdown() {
-    for (auto it = pids_.rbegin(); it != pids_.rend(); ++it) {
-      if (*it > 0) ::kill(*it, SIGTERM);
-    }
-    const Clock::time_point t0 = Clock::now();
-    for (pid_t& pid : pids_) {
-      while (pid > 0) {
-        const pid_t got = ::waitpid(pid, nullptr, WNOHANG);
-        if (got == pid || (got < 0 && errno == ECHILD)) {
-          pid = -1;
-        } else if (ms_since(t0) > 5000) {
-          ::kill(pid, SIGKILL);
-          ::waitpid(pid, nullptr, 0);
-          pid = -1;
-        } else {
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-      }
-    }
-    return ::waitpid(-1, nullptr, WNOHANG) < 0 && errno == ECHILD;
-  }
-
-  /// Sum of the children's peak resident sets (VmHWM), in MB.
-  double peak_rss_mb() const {
-    double kb = 0.0;
-    for (pid_t pid : pids_) {
-      std::ifstream in("/proc/" + std::to_string(pid) + "/status");
-      std::string key;
-      while (in >> key) {
-        if (key == "VmHWM:") {
-          double v = 0.0;
-          in >> v;
-          kb += v;
-          break;
-        }
-        in.ignore(1 << 16, '\n');
-      }
-    }
-    return kb / 1024.0;
-  }
-
-  std::vector<int> worker_ports;
-  int router_port = 0;
-  int traced_router_port = 0;  // traced run only: samples every request
-
- private:
-  int start_router(const std::string& cli, const std::string& endpoints,
-                   const std::string& name, const std::string& trace_sample) {
-    const std::string pf = work_dir_ + "/" + name + ".port";
-    spawn(cli,
-          {"route", "--endpoints", endpoints, "--port", "0", "--port-file", pf,
-           "--trace-sample", trace_sample},
-          name);
-    return await_port(pf, pids_.back());
-  }
-
-  void spawn(const std::string& exe, const std::vector<std::string>& args,
-             const std::string& name) {
-    // Everything the child needs is built before fork: between fork and
-    // exec the child only calls async-signal-safe functions.
-    std::vector<std::string> argv_s{exe};
-    argv_s.insert(argv_s.end(), args.begin(), args.end());
-    std::vector<char*> argv;
-    for (std::string& s : argv_s) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    std::vector<std::string> env_s{"DG_THREADS=1"};
-    for (char** e = environ; *e != nullptr; ++e) {
-      if (std::strncmp(*e, "DG_THREADS=", 11) != 0) env_s.emplace_back(*e);
-    }
-    std::vector<char*> envp;
-    for (std::string& s : env_s) envp.push_back(s.data());
-    envp.push_back(nullptr);
-    const std::string log = work_dir_ + "/" + name + ".log";
-    const int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0) throw std::runtime_error("cannot open " + log);
-    const pid_t parent = ::getpid();
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-      if (::getppid() != parent) ::_exit(127);
-      ::dup2(fd, STDOUT_FILENO);
-      ::dup2(fd, STDERR_FILENO);
-      ::execve(argv[0], argv.data(), envp.data());
-      ::_exit(127);
-    }
-    ::close(fd);
-    if (pid < 0) throw std::runtime_error("fork failed");
-    pids_.push_back(pid);
-  }
-
-  int await_port(const std::string& port_file, pid_t pid) {
-    const Clock::time_point t0 = Clock::now();
-    while (ms_since(t0) < kStartTimeoutS * 1e3) {
-      throw_if_interrupted();
-      std::ifstream in(port_file);
-      std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-      if (!text.empty() && text.back() == '\n') return std::stoi(text);
-      if (::waitpid(pid, nullptr, WNOHANG) == pid) {
-        for (pid_t& p : pids_) {
-          if (p == pid) p = -1;
-        }
-        throw std::runtime_error("a fleet process exited during start-up; see " +
-                                 work_dir_ + "/*.log");
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    throw std::runtime_error("fleet process did not publish its port");
-  }
-
-  std::string work_dir_;
-  std::vector<pid_t> pids_;
-};
-
-json::Value call_json(TcpClient& c, const std::string& line) {
-  return json::parse(c.call(line));
-}
-
-/// Blocks until the router sees every worker up and agrees on the package
-/// hash (the cache serves only under a consensus hash).
-void await_ready(int router_port) {
-  TcpClient c("127.0.0.1", router_port);
-  const Clock::time_point t0 = Clock::now();
-  while (ms_since(t0) < kStartTimeoutS * 1e3) {
-    throw_if_interrupted();
-    const json::Value v = call_json(c, "{\"op\":\"stats\"}");
-    const json::Value* fleet = v.find("fleet");
-    if (fleet && fleet->number_or("workers_up", 0) == kWorkers &&
-        !v.string_or("fleet_hash", "").empty()) {
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  throw std::runtime_error("router never saw the whole fleet up");
-}
 
 /// Runs `body(i)` on `n` threads, joins them all, rethrows the first error.
 template <class F>
@@ -353,31 +166,24 @@ void run_threads(int n, F body) {
 }  // namespace
 
 void run_serve(const Options& o, Result& r) {
-  struct sigaction sa {};
-  sa.sa_handler = on_signal;  // no SA_RESTART: a blocked recv returns EINTR
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
+  install_interrupt_handlers();
   pin_threads(4);
 
-  Span synth_span("data.synth");
+  const Stopwatch synth;
   const dg::synth::SynthData d =
       dg::synth::make_gcut({.n = kTrainObjects, .t_max = 50, .seed = o.seed});
-  const double synth_ms = synth_span.end();
-  Traffic traffic{&d.schema, {}, o.seed};
-  for (const dg::data::Object& obj : d.data) traffic.lengths.push_back(obj.length());
+  const double synth_ms = synth.ms();
+  const Traffic traffic{&d.schema, series_lengths(d.data), o.seed};
 
   const std::string package = std::filesystem::absolute(o.work_dir + "/gcut.dgpkg").string();
   {
     dg::core::DoppelGanger model(d.schema, cli_default_config(d.schema, o.seed));
     model.fit_more(d.data, kTrainIterations);
     bias_flags_to_continue(model);  // series run to their max_len caps
-    Span s("core.package_save");
     dg::core::save_package_file(package, model);
   }
 
-  Fleet fleet(o, package);
-  await_ready(fleet.router_port);
-  if (o.trace) await_ready(fleet.traced_router_port);
+  Fleet fleet(o.cli, o.work_dir, package, o.trace);
   const double setup_s = since_start_s();
 
   std::mutex sent_mu;
@@ -437,10 +243,8 @@ void run_serve(const Options& o, Result& r) {
       const Clock::time_point due =
           o0 + std::chrono::nanoseconds(static_cast<std::int64_t>(i * 1e9 / kOpenRate));
       std::this_thread::sleep_until(due);
-      const Clock::time_point t = Clock::now();
       s.reply = client.call(it->second[static_cast<std::size_t>(s.pos)].line);
       s.latency_ms = ms_since(due);
-      s.late_ms = ms_between(due, t);
     }
   });
   for (Sent& s : open) sent.push_back(std::move(s));
@@ -451,7 +255,7 @@ void run_serve(const Options& o, Result& r) {
   for (std::size_t i = 0; i < sent.size(); ++i) where_sent[{sent[i].round, sent[i].pos}] = i;
   std::vector<json::Value> parsed(sent.size());
   // Closed-loop throughput: series delivered per window of a tenth of the
-  // phase, reported at the fast quantile over the windows.
+  // phase, reported at the best window.
   constexpr int kWindows = 10;
   const double window_s = closed_ms / 1e3 / kWindows;
   std::vector<double> window_series(kWindows, 0.0);
@@ -514,12 +318,11 @@ void run_serve(const Options& o, Result& r) {
   }
 
   // Open-loop latency: p99 over the whole phase; p50 per tenth of the
-  // schedule, reported at the fast quantile over those windows.
-  std::vector<double> open_latency, late;
+  // schedule, reported at the best window.
+  std::vector<double> open_latency;
   std::vector<std::vector<double>> window_latency(kWindows);
   for (std::size_t i = closed_count; i < sent.size(); ++i) {
     open_latency.push_back(sent[i].latency_ms);
-    late.push_back(sent[i].late_ms);
     window_latency[(i - closed_count) * kWindows / open_total].push_back(sent[i].latency_ms);
   }
   std::vector<double> window_p50;
@@ -527,88 +330,23 @@ void run_serve(const Options& o, Result& r) {
 
   if (!o.trace) {
     r.set("setup_s", setup_s, "s");
-    r.set("route_series_per_s", quantile(window_series, kFastRateQuantile) / window_s,
-          "series/s");
-    r.set("route_p50_ms", quantile(window_p50, kFastTimeQuantile), "ms");
-    r.set("route_p99_ms", quantile(open_latency, 0.99), "ms");
+    r.set("latency_ms", quantile(window_p50, kFastTimeQuantile), "ms");
+    r.set("series_per_s", quantile(window_series, kFastRateQuantile) / window_s, "series/s");
     r.set("peak_rss_mb", fleet.peak_rss_mb(), "MB");
   } else {
-    // Direct-to-worker latency and the router hop, on fresh plain requests.
-    std::vector<double> direct_ms, hop_ms;
-    {
-      std::vector<std::unique_ptr<TcpClient>> workers;
-      for (int p : fleet.worker_ports) workers.push_back(std::make_unique<TcpClient>("127.0.0.1", p));
-      TcpClient routed("127.0.0.1", fleet.router_port);
-      for (int i = 0; i < 40; ++i) {
-        const std::uint64_t seed = mix(o.seed, 0x40000 + i) & ((1ULL << 52) - 1);
-        const std::string line = "{\"op\":\"generate\",\"id\":1,\"seed\":" +
-                                 std::to_string(seed) + ",\"n\":8,\"max_len\":19}";
-        TcpClient& home = *workers[dg::serve::shard::shard_of(seed, workers.size())];
-        Clock::time_point t = Clock::now();
-        home.call(line);
-        const double direct = ms_since(t);
-        t = Clock::now();
-        routed.call(line);
-        hop_ms.push_back(ms_since(t) - direct);
-        direct_ms.push_back(direct);
-      }
-    }
-    // JSON cost on this run's own reply lines.
-    double parse_us = 0.0, dump_us = 0.0, kb = 0.0;
-    for (std::size_t i = 0; i < sent.size(); i += 7) {
-      const Clock::time_point t = Clock::now();
-      const json::Value v = json::parse(sent[i].reply);
-      const Clock::time_point t1 = Clock::now();
-      const std::string again = json::dump(v);
-      dump_us += ms_since(t1) * 1e3;
-      parse_us += ms_between(t, t1) * 1e3;
-      kb += static_cast<double>(sent[i].reply.size()) / 1024.0;
-    }
-    TcpClient router("127.0.0.1", fleet.router_port);
-    const json::Value rs = call_json(router, "{\"op\":\"stats\"}");
-    const json::Value& rt = *rs.find("router");
-    const double hits = rt.number_or("cache_hits", 0);
-    const double misses = rt.number_or("cache_misses", 0);
-    double active = 0.0, total = 0.0;
-    for (int p : fleet.worker_ports) {
-      TcpClient w("127.0.0.1", p);
-      const json::Value ws = call_json(w, "{\"op\":\"stats\"}");
-      active += ws.number_or("slot_steps_active", 0);
-      total += ws.number_or("slot_steps_total", 0);
-    }
-    // Package and tape costs of the served package, measured in-process.
-    for (int i = 0; i < 4; ++i) {
-      std::unique_ptr<dg::core::DoppelGanger> m;
-      {
-        Span s("core.package_load");
-        m = dg::core::load_package_file(package);
-      }
-      {
-        Span s("core.package_save");
-        dg::core::save_package_file(o.work_dir + "/gcut-probe.dgpkg", *m);
-      }
-      Span s("analysis.tape_build");
-      r.check(dg::serve::TapeExecutor::create(*m, 32) != nullptr, "tape build refused");
-    }
     std::vector<double> plain_traced, plain_untraced;
     for (std::size_t i = 0; i < closed_count; ++i) {
       if (rounds.at(sent[i].round)[static_cast<std::size_t>(sent[i].pos)].kind != Kind::Plain) continue;
       (sent[i].traced ? plain_traced : plain_untraced).push_back(sent[i].latency_ms);
     }
+    std::vector<std::string> replies;
+    for (const Sent& s : sent) replies.push_back(s.reply);
+    r.set("tail_ms", quantile(open_latency, 0.99), "ms");
     r.set("data.synth_ms", synth_ms, "ms");
-    r.set("core.package_save_ms", median(Trace::durations_ms("core.package_save")), "ms");
-    r.set("core.package_load_ms", median(Trace::durations_ms("core.package_load")), "ms");
-    r.set("analysis.tape_build_ms", median(Trace::durations_ms("analysis.tape_build")), "ms");
-    r.set("serve.worker_call_ms", median(direct_ms), "ms");
-    r.set("shard.hop_ms", median(hop_ms), "ms");
-    r.set("serve.json_parse_us_per_kb", parse_us / kb, "us/kB");
-    r.set("serve.json_dump_us_per_kb", dump_us / kb, "us/kB");
-    r.set("serve.occupancy", total > 0 ? active / total : 0.0, "ratio");
-    r.set("shard.cache_hit_ratio", hits + misses > 0 ? hits / (hits + misses) : 0.0, "ratio");
-    r.set("shard.reroutes", rt.number_or("reroutes", 0), "count");
-    r.set("load.late_p99_ms", quantile(late, 0.99), "ms");
     r.set("obs.trace_overhead_pct",
           100.0 * (median(plain_traced) - median(plain_untraced)) / median(plain_untraced), "%");
+    fleet_layer_metrics(fleet, o.seed, replies, r);
+    layer_probes(o, *dg::core::load_package_file(package), d.data, r);
   }
   r.check(fleet.shutdown(), "a fleet process was left running after shutdown");
 }

@@ -6,15 +6,11 @@
 #include "bench.h"
 #include "checks.h"
 #include "core/package.h"
-#include "core/wgan.h"
-#include "analysis/model.h"
-#include "analysis/train_step.h"
+#include "fleet.h"
 #include "models.h"
 #include "nn/autograd.h"
-#include "nn/layers.h"
-#include "nn/optim.h"
-#include "nn/rng.h"
 #include "obs/profile.h"
+#include "probes.h"
 #include "synth/synth.h"
 
 namespace bench {
@@ -36,62 +32,13 @@ dg::core::DoppelGangerConfig train_config(const dg::data::Schema& schema,
   return cfg;
 }
 
-/// One WGAN-GP critic step (critic_loss + backward + Adam::step) on an
-/// nn::Mlp of the full critic's shape, timed alone.
-double critic_gp_step_ms(const DoppelGanger& model, std::uint64_t seed) {
-  const auto& cfg = model.config();
-  const int width = model.codec().attribute_dim() + model.codec().minmax_dim() +
-                    model.codec().feature_row_dim();
-  nn::Rng rng(seed);
-  nn::Mlp critic(width, 1, cfg.disc_hidden, cfg.disc_layers, rng);
-  nn::Adam opt(critic.parameters());
-  const dg::core::CriticFn fn = [&critic](const nn::Var& x) { return critic.forward(x); };
-  const nn::Matrix real = rng.uniform_matrix(cfg.batch, width);
-  const nn::Matrix fake = rng.uniform_matrix(cfg.batch, width);
-  for (int i = 0; i < 25; ++i) {
-    Span s("core.critic_gp_step");
-    nn::Var loss = dg::core::critic_loss(fn, real, fake, cfg.gp_weight, rng);
-    opt.zero_grad();
-    loss.backward();
-    opt.step();
-  }
-  return median(Trace::durations_ms("core.critic_gp_step"));
-}
-
-/// One Adam::step over tensors shaped like the generator's parameters.
-double adam_step_us(const DoppelGanger& model) {
-  std::vector<nn::Var> params;
-  for (const nn::Var& p : model.generator_parameters()) {
-    params.emplace_back(p.value(), true);
-  }
-  for (nn::Var& p : params) nn::sum(p).backward();  // grad = ones
-  nn::Adam opt(params);
-  for (int i = 0; i < 200; ++i) {
-    Span s("nn.adam_step");
-    opt.step();
-  }
-  return median(Trace::durations_ms("nn.adam_step")) * 1e3;
-}
-
-/// The fit preflight (analyze_model + analyze_training_step), run from
-/// outside the way fit_more runs it on every call.
-double preflight_ms(const DoppelGanger& model) {
-  for (int i = 0; i < 5; ++i) {
-    Span s("analysis.preflight");
-    const auto m = dg::analysis::analyze_model(model.schema(), model.config());
-    const auto t = dg::analysis::analyze_training_step(model.schema(), model.config());
-    if (!m.ok() || !t.ok()) throw std::runtime_error("preflight reported findings");
-  }
-  return median(Trace::durations_ms("analysis.preflight"));
-}
-
 }  // namespace
 
 void run_train(const Options& o, bool dp, Result& r) {
   const int threads = pin_threads(dp ? 1 : 4);
-  Span synth_span("data.synth");
+  const Stopwatch synth;
   const dg::synth::SynthData d = dg::synth::make_gcut({.n = kObjects, .t_max = 50, .seed = o.seed});
-  const double synth_ms = synth_span.end();
+  const double synth_ms = synth.ms();
 
   DoppelGanger model(d.schema, train_config(d.schema, o.seed, dp));
   const std::vector<nn::Matrix> initial = generator_values(model);
@@ -103,31 +50,24 @@ void run_train(const Options& o, bool dp, Result& r) {
 
   // Timed loop. In a traced run, odd calls run with the profiler and the op
   // observer on and even calls without, so the overhead is measured in the
-  // same run and the untraced calls give the exact allocation count.
-  std::vector<double> iter_ms, traced_ms, ops_per_call, allocs_per_call;
-  KernelTotals kernels;
+  // same run.
+  std::vector<double> iter_ms, traced_ms;
   const Clock::time_point t0 = Clock::now();
   for (std::uint64_t call = 0; ms_since(t0) < o.seconds * 1e3; ++call) {
     const bool traced = o.trace && (call % 2 == 1);
     TrainStats st;
+    const Clock::time_point c0 = Clock::now();
     if (traced) {
-      std::uint64_t ops = 0;
       dg::obs::Profiler::start();
-      Span s("train.fit_more");
       {
-        nn::OpObserverGuard observe([&ops](const char*, int, int) { ++ops; });
+        nn::OpObserverGuard observe([](const char*, int, int) {});
         st = model.fit_more(d.data, 1);
       }
-      traced_ms.push_back(s.end());
+      traced_ms.push_back(ms_since(c0));
       dg::obs::Profiler::stop();
-      kernels.add_snapshot();
-      ops_per_call.push_back(static_cast<double>(ops));
     } else {
-      const std::uint64_t a0 = allocations();
-      const Clock::time_point c0 = Clock::now();
       st = model.fit_more(d.data, 1);
       iter_ms.push_back(ms_since(c0));
-      allocs_per_call.push_back(static_cast<double>(allocations() - a0));
     }
     ++r.attempted;
     const std::string e = check_train_stats(st);
@@ -163,31 +103,22 @@ void run_train(const Options& o, bool dp, Result& r) {
 
   if (!o.trace) {
     r.set("setup_s", setup_s, "s");
-    r.set("train_iter_ms", quantile(iter_ms, kFastTimeQuantile), "ms");
+    const double latency_ms = quantile(iter_ms, kFastTimeQuantile);
+    r.set("latency_ms", latency_ms, "ms");
+    // Training throughput: one batch of real series per call, at the same
+    // fastest call.
+    r.set("series_per_s", model.config().batch * 1e3 / latency_ms, "series/s");
     r.set("peak_rss_mb", self_peak_rss_mb(), "MB");
     return;
   }
-  std::vector<double> encode;
-  for (int i = 0; i < 5; ++i) {
-    Span s("data.encode");
-    const auto enc = model.codec().encode(d.data);
-    encode.push_back(s.end());
-  }
   // The tail of the untraced calls: reported without a bound, since on a
   // shared host it follows the machine's slow phases.
-  r.set("train_iter_p90_ms", quantile(iter_ms, 0.9), "ms");
+  r.set("tail_ms", quantile(iter_ms, 0.9), "ms");
   r.set("data.synth_ms", synth_ms, "ms");
-  r.set("data.encode_ms", median(encode), "ms");
-  r.set("analysis.preflight_ms", preflight_ms(model), "ms");
-  r.set("core.critic_gp_step_ms", critic_gp_step_ms(model, o.seed), "ms");
-  r.set("nn.ops_per_iter", median(ops_per_call), "count");
-  r.set("nn.allocs_per_iter", median(allocs_per_call), "count");
-  r.set("nn.matmul_gflops", kernels.gflops("matmul"), "GFLOP/s");
-  r.set("nn.affine_gflops", kernels.gflops("affine"), "GFLOP/s");
-  r.set("nn.lstm_gates_gflops", kernels.gflops("lstm_gates"), "GFLOP/s");
-  r.set("nn.adam_step_us", adam_step_us(model), "us");
   r.set("obs.trace_overhead_pct",
         100.0 * (median(traced_ms) - median(iter_ms)) / median(iter_ms), "%");
+  layer_probes(o, model, d.data, r);
+  fleet_probe(o, model, series_lengths(d.data), r);
 }
 
 }  // namespace bench

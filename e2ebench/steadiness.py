@@ -57,8 +57,10 @@ def main():
             shares[w].add(str(fractions.Fraction(res["failed"], res["attempted"])))
             for name, m in res["metrics"].items():
                 values[w].setdefault(name, []).append(m["value"])
-            print("run %d/%d %-14s seed %-3d %.1f s" % (i + 1, args.runs, w, seed,
-                                                     walls[w][-1]), file=sys.stderr)
+            print("run %d/%d %-14s seed %-3d %.1f s  %s" % (
+                i + 1, args.runs, w, seed, walls[w][-1],
+                " ".join("%s=%.4g" % (k, m["value"]) for k, m in sorted(res["metrics"].items()))),
+                file=sys.stderr)
 
     print("nproc %d, %d runs per workload, %g s each" % (os.cpu_count(), args.runs,
                                                          args.seconds))
